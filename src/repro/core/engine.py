@@ -64,16 +64,15 @@ class LearnConfig:
     seed: int = 20260611
     #: Width of the random-pattern signatures behind equivalence
     #: candidate identification.  ``None`` keeps
-    #: :attr:`equivalence_width` (the historical 256); e.g. 4096 runs
-    #: learning signatures at array word widths.  Part of the learned
-    #: config digest: a different width can bucket different candidate
-    #: pairs (results across *backends* are bit-identical at any fixed
-    #: width).
+    #: :attr:`equivalence_width` (the historical 256); any width runs
+    #: on every backend.  Part of the learned config digest: a
+    #: different width can bucket different candidate pairs (results
+    #: across *backends* are bit-identical at any fixed width).
     signature_width: Optional[int] = None
-    #: Machine-batch width of the batched single-node learning runs
-    #: (``None`` = the sim backend's default).  A pure packing knob:
-    #: machines are independent bit columns, so learned data never
-    #: depends on it.
+    #: Machine-batch width of the batched single-node learning runs,
+    #: which use the compiled kernels on the 'compiled' and 'array'
+    #: backends alike (``None`` = 128).  A pure packing knob: machines
+    #: are independent bit columns, so learned data never depends on it.
     single_node_batch_width: Optional[int] = None
 
     def to_dict(self) -> Dict[str, object]:
@@ -179,8 +178,9 @@ class SequentialLearner:
     """Run the full learning flow on one circuit.
 
     ``sim_backend`` selects the pattern simulator behind equivalence
-    signatures and the plane evaluator behind batched single-node runs
-    ('reference', 'compiled' or 'array', see :mod:`repro.sim.compiled`);
+    signatures and the plane evaluator behind batched single-node runs:
+    'reference' runs the interpreters, 'compiled' and 'array' the
+    compiled kernels (:func:`repro.sim.compiled.kernel_backend`);
     learned knowledge is bit-identical for every backend at a fixed
     signature width.
     """

@@ -93,17 +93,19 @@ class ATPGConfig:
     #: every vector in memory; ``sequences_total`` is counted either way.
     keep_sequences: bool = False
     #: Simulation backend for fault simulation and learning signatures:
-    #: 'compiled' (straight-line kernels, the default), 'array'
-    #: (whole-circuit vectorized kernels; numpy-accelerated with the
-    #: ``repro[fast]`` extra, pure-bigint otherwise) or 'reference'
-    #: (the original interpreters).  Results are bit-identical; the
+    #: 'compiled' (straight-line kernels, the default), 'array' (numpy
+    #: word-matrix fault simulation with the ``repro[fast]`` extra;
+    #: signatures, single-node learning and every use without numpy
+    #: run the compiled kernels, see
+    #: :func:`repro.sim.compiled.kernel_backend`) or 'reference' (the
+    #: original interpreters).  Results are bit-identical; the
     #: reference backend exists for differential testing and debugging.
     sim_backend: str = "compiled"
     #: Machine-batch width of the fault-dropping simulator (one fault
-    #: machine per bit column; ``None`` = the backend's default, e.g.
-    #: 4096 on the numpy array substrate).  A pure packing knob:
-    #: detection sets -- and therefore every statistic -- never depend
-    #: on it, which the differential harness enforces.
+    #: machine per bit column; ``None`` = the backend's default: 4096
+    #: for numpy array fault simulation, 128 otherwise).  A pure
+    #: packing knob: detection sets -- and therefore every statistic --
+    #: never depend on it, which the differential harness enforces.
     sim_width: Optional[int] = None
     #: PODEM engine behind test generation: 'incremental' (event-driven
     #: window updates with trail-based backtracking, the default) or

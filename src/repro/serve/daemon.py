@@ -1,8 +1,8 @@
 """The production daemon behind ``repro serve``.
 
-This module grew out of :mod:`repro.api.server` (which now re-exports
-it) when the daemon became a real serving tier instead of a thin HTTP
-shim.  On top of the original warm-process contract -- shared kernel
+The daemon serves :func:`repro.api.execute` over JSON/HTTP (``repro
+serve``; ``repro.api.make_server`` and ``repro.api.serve`` load this
+module lazily).  On top of the warm-process contract -- shared kernel
 cache, shared :class:`~repro.api.store.ArtifactStore`, byte-identical
 envelopes -- it adds three production capabilities:
 
@@ -52,7 +52,6 @@ from ..api.errors import (
 from ..api.executor import Response, execute
 from ..api.requests import PRIORITY_CLASSES, REQUEST_KINDS, SCHEMA_VERSION
 from ..api.store import ArtifactStore
-from ..sim.array_backend import pattern_cache_stats
 from ..sim.compiled import compile_cache_stats
 from .admission import AdmissionController
 from .cancel import REASON_CLIENT_DISCONNECT, REASON_EXPLICIT, CancelToken
@@ -116,25 +115,38 @@ class ReproServer(ThreadingHTTPServer):
 
     # ------------------------------------------------------------------
     def health(self) -> dict:
+        # One lock covers the ledger and the admission depths, so no
+        # snapshot sees a request served while its slot is still active
+        # (see :meth:`finish`).
         with self.stats_lock:
             served, failed = self.requests_served, self.requests_failed
+            admission = self.admission.depths()
         return {
             "ok": True,
             "schema_version": SCHEMA_VERSION,
             "requests_served": served,
             "requests_failed": failed,
             "streaming": self.allow_streaming,
-            "admission": self.admission.depths(),
+            "admission": admission,
             "kernel_cache": compile_cache_stats(),
             "artifact_store": self.store.stats(),
-            "pattern_cache": pattern_cache_stats(),
         }
 
     def count(self, ok: bool) -> None:
+        """Count a request that never held an admission slot."""
         with self.stats_lock:
-            self.requests_served += 1
-            if not ok:
-                self.requests_failed += 1
+            self._count(ok)
+
+    def finish(self, ok: bool) -> None:
+        """Release an admission slot and count its request as one step."""
+        with self.stats_lock:
+            self.admission.release()
+            self._count(ok)
+
+    def _count(self, ok: bool) -> None:
+        self.requests_served += 1
+        if not ok:
+            self.requests_failed += 1
 
     # ------------------------------------------------------------------
     def next_request_id(self) -> str:
@@ -180,7 +192,6 @@ class ReproServer(ThreadingHTTPServer):
             "caches": {
                 "kernel_cache": compile_cache_stats(),
                 "artifact_store": self.store.stats(),
-                "pattern_cache": pattern_cache_stats(),
             },
             "admission": self.admission.depths(),
         }
@@ -189,18 +200,17 @@ class ReproServer(ThreadingHTTPServer):
         """Point-in-time gauge values for the Prometheus export."""
         out: Dict[str, float] = {}
         for prefix, stats in (("kernel_cache", compile_cache_stats()),
-                              ("artifact_store", self.store.stats()),
-                              ("pattern_cache", pattern_cache_stats())):
+                              ("artifact_store", self.store.stats())):
             for key in sorted(stats):
                 value = stats[key]
                 if isinstance(value, (int, float)):
                     out[f"{prefix}_{key}"] = value
-        depths = self.admission.depths()
-        for key in sorted(depths):
-            out[f"admission_{key}"] = depths[key]
         with self.stats_lock:
+            depths = self.admission.depths()
             out["requests_served"] = self.requests_served
             out["requests_failed"] = self.requests_failed
+        for key in sorted(depths):
+            out[f"admission_{key}"] = depths[key]
         return out
 
 
@@ -505,20 +515,24 @@ class _Handler(BaseHTTPRequestHandler):
                         token.set_probe(self._disconnect_probe())
                         response = execute(data, store=server.store,
                                            cancel=token.check)
-                        status = 200
-                        if not response.ok:
-                            code = (response.error or {}).get("code")
-                            status = HTTP_STATUS_BY_CODE.get(code, 500)
-                        self._respond(response, status,
-                                      headers={"X-Request-Id":
-                                               request_id})
                         ok = response.ok
                     else:
                         ok = self._run_stream(data, fmt, token,
                                               request_id)
-                    outcome = "ok" if ok else "error"
-                finally:
+                except BaseException:
                     server.admission.release()
+                    raise
+                # Before the reply goes out: a client that has its
+                # answer always finds it counted and its slot free.
+                server.finish(ok)
+                if fmt is None:
+                    status = 200
+                    if not ok:
+                        code = (response.error or {}).get("code")
+                        status = HTTP_STATUS_BY_CODE.get(code, 500)
+                    self._send(status, response.to_json().encode(),
+                               headers={"X-Request-Id": request_id})
+                outcome = "ok" if ok else "error"
             finally:
                 server.unregister_token(request_id)
         finally:
@@ -556,9 +570,7 @@ class _Handler(BaseHTTPRequestHandler):
         response = execute(data, events=writer, store=server.store,
                            cancel=token.check)
         delivered = writer.finish(response.to_json().encode())
-        ok = bool(response.ok and delivered)
-        server.count(ok)
-        return ok
+        return bool(response.ok and delivered)
 
 
 def make_server(host: str = "127.0.0.1", port: int = 0,

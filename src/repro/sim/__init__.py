@@ -4,12 +4,7 @@ from .array_backend import (
     HAVE_NUMPY,
     ArrayCircuit,
     ArrayFaultSimulator,
-    ArrayPatternEngine,
     array_form,
-    clear_pattern_cache,
-    pattern_cache_stats,
-    pattern_engine,
-    simulate_patterns_array,
 )
 from .compiled import (
     SIM_BACKENDS,
@@ -18,6 +13,7 @@ from .compiled import (
     clear_compile_cache,
     compile_cache_stats,
     compile_circuit,
+    kernel_backend,
     make_fault_simulator,
     warm_cache,
 )
@@ -53,14 +49,12 @@ from .values import (
 )
 
 __all__ = [
-    "HAVE_NUMPY", "ArrayCircuit", "ArrayFaultSimulator",
-    "ArrayPatternEngine", "array_form", "clear_pattern_cache",
-    "pattern_cache_stats", "pattern_engine", "simulate_patterns_array",
+    "HAVE_NUMPY", "ArrayCircuit", "ArrayFaultSimulator", "array_form",
     "ArrayResidentDropper", "SubsetResidentDropper",
     "make_resident_dropper",
     "SIM_BACKENDS", "CompiledCircuit", "CompiledFaultSimulator",
     "clear_compile_cache", "compile_cache_stats", "compile_circuit",
-    "make_fault_simulator",
+    "kernel_backend", "make_fault_simulator",
     "warm_cache",
     "Assignment", "Conflict", "Coupling", "FrameSimulator",
     "InjectionResult", "simulate_sequence",

@@ -21,6 +21,11 @@ Two evaluators ride on the lowered form:
   fault dropping, detection-set compatible with
   :class:`repro.sim.faultsim.FaultSimulator`.
 
+``sim_backend="array"`` runs on them too, except for fault simulation
+with numpy installed: its signatures and batched single-node learning
+always run here, and so does everything else when numpy is absent
+(:func:`kernel_backend`).
+
 The reference implementations stay in :mod:`repro.sim.parallel` /
 :mod:`repro.sim.faultsim`; the differential test harness pits the two
 against each other (``tests/test_backend_differential.py``).
@@ -47,10 +52,32 @@ from ..circuit.netlist import Circuit
 from .faultsim import FaultSimulator
 
 #: Selectable simulation backends (`ATPGConfig.sim_backend`, CLI
-#: ``--backend``).  "array" lives in :mod:`repro.sim.array_backend`
-#: (whole-circuit vectorized kernels, numpy-accelerated when the
-#: ``repro[fast]`` extra is installed, pure-bigint otherwise).
+#: ``--backend``).  "array" is the numpy fault simulator of
+#: :mod:`repro.sim.array_backend`; see :func:`kernel_backend` for where
+#: it applies.
 SIM_BACKENDS = ("reference", "compiled", "array")
+
+
+def kernel_backend(backend: str, fault_sim: bool = False) -> str:
+    """The kernels that run one use of a :data:`SIM_BACKENDS` value.
+
+    ``"array"`` means the numpy word-matrix fault simulator and its
+    resident dropper (``fault_sim=True``) and nothing else: pattern
+    signatures and batched single-node learning run the compiled
+    kernels, which measure faster there, and so does every use on an
+    install without numpy.  Results are identical on every backend, so
+    this choice never changes a verdict, and the configured value (and
+    every config digest) stays ``"array"``.
+    """
+    if backend not in SIM_BACKENDS:
+        raise ValueError(f"unknown sim backend {backend!r}; "
+                         f"expected one of {SIM_BACKENDS}")
+    if backend == "array":
+        # Imported lazily: array_backend builds on this module.
+        from .array_backend import HAVE_NUMPY
+        if not (fault_sim and HAVE_NUMPY):
+            return "compiled"
+    return backend
 
 #: Integer opcodes of the lowered gate schedule.
 OP_AND, OP_NAND, OP_OR, OP_NOR, OP_NOT, OP_BUF, OP_XOR, OP_XNOR, \
@@ -362,18 +389,15 @@ def warm_cache(circuit: Circuit, backend: str = "compiled"
     than inside the first pipeline stage; in an already-warm process it
     is a cache hit and free.
 
-    ``backend='array'`` additionally builds the array lowering and the
-    resident pattern engine (on the numpy substrate), so array suite
-    workers don't pay the grouped lowering inside their first stage
-    either; every other backend value just warms the compiled kernels
-    the array backend sits on anyway.
+    When ``backend`` runs the numpy fault simulator (see
+    :func:`kernel_backend`) this also builds the array lowering, so
+    array suite workers don't pay it inside their first stage either;
+    every other value just warms the compiled kernels.
     """
     cc = compile_circuit(circuit)
-    if backend == "array":
-        from . import array_backend
-        array_backend.array_form(circuit)
-        if array_backend.HAVE_NUMPY:
-            array_backend.pattern_engine(circuit)
+    if kernel_backend(backend, fault_sim=True) == "array":
+        from .array_backend import array_form
+        array_form(circuit)
     return cc
 
 
@@ -619,20 +643,17 @@ def make_fault_simulator(circuit: Circuit, width: Optional[int] = None,
     """Factory over :data:`SIM_BACKENDS`; all share one contract.
 
     ``width=None`` picks the backend's default batch width (128 for the
-    reference and compiled engines; the array backend chooses by
-    substrate -- wide for numpy, 128 for the bigint fallback).  Safe
-    because detection sets are width-independent: each fault occupies
-    its own machine, so batch packing never changes a verdict.
+    reference and compiled engines, 4096 for the numpy array engine).
+    Safe because detection sets are width-independent: each fault
+    occupies its own machine, so batch packing never changes a verdict.
+    ``backend='array'`` without numpy builds the compiled simulator
+    (:func:`kernel_backend`).
     """
-    if backend == "compiled":
-        return CompiledFaultSimulator(
-            circuit, width=128 if width is None else width)
-    if backend == "reference":
-        return FaultSimulator(
-            circuit, width=128 if width is None else width)
+    backend = kernel_backend(backend, fault_sim=True)
     if backend == "array":
-        # Imported lazily: array_backend builds on this module.
         from .array_backend import ArrayFaultSimulator
         return ArrayFaultSimulator(circuit, width=width)
-    raise ValueError(
-        f"unknown sim backend {backend!r}; expected one of {SIM_BACKENDS}")
+    width = 128 if width is None else width
+    if backend == "compiled":
+        return CompiledFaultSimulator(circuit, width=width)
+    return FaultSimulator(circuit, width=width)

@@ -4,7 +4,10 @@ Used for gate-equivalence candidate identification (paper section 3.1):
 N random binary patterns are applied to the pseudo-primary inputs (PIs and
 FF outputs) and every gate's response signature is computed with bitwise
 operations, N patterns at a time.  Python's arbitrary-precision integers
-make the word width a free parameter.
+make the word width a free parameter.  :func:`simulate_patterns` is the
+reference interpreter; :func:`signatures` runs the compiled
+straight-line kernels for both ``backend='compiled'`` and
+``backend='array'`` (see :func:`repro.sim.compiled.kernel_backend`).
 
 Values here are strictly binary -- X plays no role because equivalence is
 a property of the Boolean functions.
@@ -80,26 +83,17 @@ def signatures(circuit: Circuit, width: int = 256,
                backend: str = "reference") -> Dict[int, int]:
     """Random-pattern signature of every node (PIs/FFs included).
 
-    ``backend='compiled'`` evaluates through the straight-line kernels
-    of :mod:`repro.sim.compiled`, ``backend='array'`` through the
-    level-vectorized kernels of :mod:`repro.sim.array_backend`; masks
-    are bit-identical any way.
+    ``backend='compiled'`` and ``backend='array'`` evaluate through the
+    straight-line kernels of :mod:`repro.sim.compiled`, 'reference'
+    through :func:`simulate_patterns`; masks are bit-identical any way.
     """
+    from .compiled import compile_circuit, kernel_backend
+
+    kernels = kernel_backend(backend)
     rng = rng or random.Random(20260611)
     source = random_source_masks(circuit, width, rng)
-    if backend == "compiled":
-        from .compiled import compile_circuit
-
+    if kernels == "compiled":
         return compile_circuit(circuit).simulate_patterns(source, width)
-    if backend == "array":
-        from .array_backend import simulate_patterns_array
-
-        return simulate_patterns_array(circuit, source, width)
-    if backend != "reference":
-        from .compiled import SIM_BACKENDS
-
-        raise ValueError(f"unknown sim backend {backend!r}; "
-                         f"expected one of {SIM_BACKENDS}")
     return simulate_patterns(circuit, source, width)
 
 

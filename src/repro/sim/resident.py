@@ -29,10 +29,11 @@ whole dropping loop:
 Droppers are owned by one driver loop and are deliberately
 single-threaded (no locks): each ``run_atpg`` call builds its own.
 
-The reference and compiled backends keep their historical per-call
-subset slicing behind the same interface -- their per-batch setup is a
-few bigint dict folds, not worth freezing -- so the driver code is
-backend-agnostic and the detection sets (and therefore every
+The reference and compiled backends -- and ``"array"`` on an install
+without numpy, which runs the compiled kernels -- keep their historical
+per-call subset slicing behind the same interface: their per-batch
+setup is a few bigint dict folds, not worth freezing.  So the driver
+code is backend-agnostic and the detection sets (and therefore every
 :class:`~repro.atpg.driver.ATPGStats` field) stay bit-identical across
 all three backends by the same batch-independence contract the
 differential harness enforces.
@@ -43,8 +44,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..circuit.netlist import Circuit
-from .array_backend import ArrayFaultSimulator
-from .compiled import SIM_BACKENDS, make_fault_simulator
+from .array_backend import ArrayFaultSimulator, _np
+from .compiled import kernel_backend, make_fault_simulator
 
 __all__ = ["ArrayResidentDropper", "SubsetResidentDropper",
            "make_resident_dropper"]
@@ -58,7 +59,7 @@ class _ResidentBatch:
     def __init__(self, indices: List[int], plan, det, live: int):
         self.indices = indices
         self.plan = plan
-        self.det = det      # pre-seeded detection mask (np row / int)
+        self.det = det      # pre-seeded detection mask (uint64 row)
         self.live = live
 
 
@@ -70,17 +71,14 @@ class ArrayResidentDropper:
     ``drop`` simulates one sequence against every live column and
     returns the newly-detected global indices (removing them);
     ``discard`` retires a column whose verdict was decided elsewhere
-    (the targeted fault itself, whatever its outcome).
+    (the targeted fault itself, whatever its outcome).  Needs numpy.
     """
 
     def __init__(self, circuit: Circuit, faults: Sequence, live:
-                 Sequence[int], width: Optional[int] = None,
-                 use_numpy: Optional[bool] = None):
-        self._sim = ArrayFaultSimulator(circuit, width=width,
-                                        use_numpy=use_numpy)
+                 Sequence[int], width: Optional[int] = None):
+        self._sim = ArrayFaultSimulator(circuit, width=width)
         self._faults = faults
         self.width = self._sim.width
-        self.use_numpy = self._sim.use_numpy
         self.drop_calls = 0
         self.drop_hits = 0
         self.repacks = 0
@@ -100,7 +98,7 @@ class ArrayResidentDropper:
             indices = live[start:start + self.width]
             batch = [faults[i] for i in indices]
             plan = sim._plan_for(batch)
-            det = (_np_zero_row(plan.words) if sim.use_numpy else 0)
+            det = _np.zeros(plan.words, dtype=_np.uint64)
             rb = _ResidentBatch(indices, plan, det, len(indices))
             for col, gidx in enumerate(indices):
                 self._pos[gidx] = (rb, col)
@@ -108,10 +106,7 @@ class ArrayResidentDropper:
 
     def _retire(self, index: int) -> None:
         rb, col = self._pos.pop(index)
-        if self._sim.use_numpy:
-            rb.det[col >> 6] |= _np_bit(col)
-        else:
-            rb.det |= 1 << col
+        rb.det[col >> 6] |= _np.uint64(1 << (col & 63))
         rb.live -= 1
         self.live_count -= 1
 
@@ -143,14 +138,8 @@ class ArrayResidentDropper:
         for rb in self._batches:
             if not rb.live:
                 continue
-            if sim.use_numpy:
-                locals_ = sim._run_plan_np(sequence, rb.plan,
-                                           good_frames, pre_det=rb.det)
-            else:
-                locals_ = sim._run_plan_int(
-                    sequence, rb.plan, len(rb.indices), good_frames,
-                    pre_det=rb.det)
-            for col in locals_:
+            for col in sim._run_plan(sequence, rb.plan, good_frames,
+                                     pre_det=rb.det):
                 hits.append(rb.indices[col])
         for index in hits:
             self._retire(index)
@@ -213,36 +202,18 @@ class SubsetResidentDropper:
 def make_resident_dropper(circuit: Circuit, faults: Sequence,
                           live: Sequence[int], *,
                           backend: str = "compiled",
-                          width: Optional[int] = None,
-                          use_numpy: Optional[bool] = None):
+                          width: Optional[int] = None):
     """Dropper factory over :data:`~repro.sim.compiled.SIM_BACKENDS`.
 
-    ``backend='array'`` builds the resident column engine; 'reference'
-    and 'compiled' get the subset dropper.  ``width`` is a pure batch
+    ``backend='array'`` builds the resident column engine (the subset
+    dropper over the compiled kernels when numpy is absent, see
+    :func:`~repro.sim.compiled.kernel_backend`); 'reference' and
+    'compiled' get the subset dropper.  ``width`` is a pure batch
     packing knob (``None`` = backend default) and never changes any
-    detection set; ``use_numpy`` is forwarded to the array substrate
-    probe.
+    detection set.
     """
-    if backend == "array":
-        return ArrayResidentDropper(circuit, faults, live, width=width,
-                                    use_numpy=use_numpy)
-    if backend not in SIM_BACKENDS:
-        raise ValueError(f"unknown sim backend {backend!r}; "
-                         f"expected one of {SIM_BACKENDS}")
+    kernels = kernel_backend(backend, fault_sim=True)
+    if kernels == "array":
+        return ArrayResidentDropper(circuit, faults, live, width=width)
     return SubsetResidentDropper(circuit, faults, live,
-                                 backend=backend, width=width)
-
-
-# ----------------------------------------------------------------------
-# numpy shims (kept here so the module imports without numpy)
-# ----------------------------------------------------------------------
-def _np_zero_row(words: int):
-    from .array_backend import _np
-
-    return _np.zeros(words, dtype=_np.uint64)
-
-
-def _np_bit(col: int):
-    from .array_backend import _np
-
-    return _np.uint64(1 << (col & 63))
+                                 backend=kernels, width=width)

@@ -7,7 +7,6 @@ results and invalid widths fail loudly at construction.
 """
 
 import random
-from functools import partial
 
 import pytest
 
@@ -15,6 +14,7 @@ from repro.atpg.faults import Fault, collapse_faults
 from repro.circuit import random_circuit, s27
 from repro.circuit.gates import ZERO
 from repro.sim import (
+    HAVE_NUMPY,
     ArrayFaultSimulator,
     CompiledFaultSimulator,
     FaultSimulator,
@@ -22,16 +22,15 @@ from repro.sim import (
     make_fault_simulator,
 )
 
-#: Every fault-simulator construction path: the two scalar engines plus
-#: both array substrates (the numpy entry silently runs on bigints too
-#: when numpy is absent -- that is the fallback contract).
+#: Every fault-simulator class: the two scalar engines plus the numpy
+#: array engine, which only exists where numpy does.
 BACKENDS = (
     FaultSimulator,
     CompiledFaultSimulator,
-    ArrayFaultSimulator,
-    partial(ArrayFaultSimulator, use_numpy=False),
+    pytest.param(ArrayFaultSimulator, marks=pytest.mark.skipif(
+        not HAVE_NUMPY, reason="numpy array backend only")),
 )
-BACKEND_IDS = ("reference", "compiled", "array", "array-bigint")
+BACKEND_IDS = ("reference", "compiled", "array")
 
 
 def _circuit():
@@ -86,10 +85,11 @@ def test_make_fault_simulator_backends():
                       FaultSimulator)
     assert isinstance(make_fault_simulator(circuit, backend="compiled"),
                       CompiledFaultSimulator)
+    # Without numpy 'array' runs the compiled kernels.
     assert isinstance(make_fault_simulator(circuit, backend="array"),
-                      ArrayFaultSimulator)
-    # 'numpy' is not a backend: the array backend picks its substrate
-    # itself (numpy when importable, bigint otherwise).
+                      ArrayFaultSimulator if HAVE_NUMPY
+                      else CompiledFaultSimulator)
+    # 'numpy' is not a backend name.
     with pytest.raises(ValueError, match="backend"):
         make_fault_simulator(circuit, backend="numpy")
 

@@ -1,20 +1,21 @@
-"""Wide learning signatures + resident fault dropping (PR 9).
+"""Wide learning signatures + resident fault dropping.
 
 Two contracts under test:
 
-* **Signatures are backend- and substrate-invariant at any width.**
+* **Signatures are backend-invariant at any width.**
   :func:`repro.sim.parallel.signatures` must produce byte-identical
-  node masks through the reference interpreters, the compiled
-  straight-line kernels and the array backend (numpy and bigint
-  substrates, grouped and compiled-routed paths) at both the historical
-  256-bit width and the 4096-bit array word width.
+  node masks through the reference interpreters and the compiled
+  straight-line kernels (which ``backend='array'`` runs too) at both
+  the historical 256-bit width and the 4096-bit array word width.
 
 * **Resident dropping never changes a detection outcome.**  The
   :mod:`repro.sim.resident` droppers freeze fault batches and compact
   dropped columns in place; a dropped fault must never be reported
   again (no resurrection), and the cumulative hit sets must match the
   historical per-call subset slicing on every backend, with repacking
-  forced and without.
+  forced and without.  The array dropper needs numpy; without it
+  ``make_resident_dropper(backend='array')`` builds the subset dropper
+  over the compiled kernels.
 """
 
 import os
@@ -27,22 +28,16 @@ import pytest
 import repro
 from repro.atpg.faults import collapse_faults
 from repro.circuit import industrial_like, random_circuit, s27
-from repro.sim.array_backend import (
-    HAVE_NUMPY,
-    clear_pattern_cache,
-    pattern_cache_stats,
-    pattern_engine,
-    simulate_patterns_array,
-)
-from repro.sim.parallel import random_source_masks, signatures
+from repro.sim.array_backend import HAVE_NUMPY
+from repro.sim.parallel import signatures
 from repro.sim.resident import (
     ArrayResidentDropper,
     SubsetResidentDropper,
     make_resident_dropper,
 )
 
-#: The two signature widths the learning engine runs at: the paper's
-#: historical 256 and the array backend's 4096-bit word width.
+#: Two signature widths: the paper's historical 256 and the array
+#: backend's 4096-bit fault-simulation batch width.
 SIGNATURE_WIDTHS = (256, 4096)
 
 
@@ -57,7 +52,7 @@ def _circuits():
 
 
 # ----------------------------------------------------------------------
-# learning signatures across backends x widths x substrates
+# learning signatures across backends x widths
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("width", SIGNATURE_WIDTHS)
 def test_signatures_identical_across_backends(width):
@@ -70,29 +65,11 @@ def test_signatures_identical_across_backends(width):
                               backend=backend) == ref
 
 
-@pytest.mark.parametrize("width", SIGNATURE_WIDTHS)
-def test_pattern_masks_identical_on_both_substrates(width):
-    """Both array substrates and both array evaluation paths (the
-    compiled-routed default and the grouped word-matrix kernels) must
-    reproduce the reference masks bit for bit."""
-    from repro.sim.parallel import simulate_patterns
-
-    for circuit in _circuits():
-        rng = random.Random(width)
-        source = random_source_masks(circuit, width, rng)
-        masks = simulate_patterns(circuit, source, width)
-        assert simulate_patterns_array(circuit, source, width) == masks
-        assert simulate_patterns_array(circuit, source, width,
-                                       use_numpy=False) == masks
-        if HAVE_NUMPY:
-            assert simulate_patterns_array(circuit, source, width,
-                                           grouped=True) == masks
-
-
 def test_signatures_bigint_substrate_subprocess():
     """The numpy-absent leg: a fresh interpreter under
     ``REPRO_ARRAY_DISABLE_NUMPY`` must produce the same signatures at
-    both widths through the array backend's bigint substrate."""
+    both widths through ``backend='array'``, which then runs the
+    compiled bigint kernels."""
     src_root = os.path.dirname(os.path.dirname(
         os.path.abspath(repro.__file__)))
     code = (
@@ -120,34 +97,6 @@ def test_signatures_bigint_substrate_subprocess():
     assert proc.stdout.strip() == "ok"
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy substrate only")
-def test_pattern_engine_cache_hits():
-    """`simulate_patterns_array` memoizes the resident pattern engine
-    by circuit fingerprint: repeated calls must stop re-lowering."""
-    clear_pattern_cache()
-    circuit = _circuits()[0]
-    rng = random.Random(5)
-    source = random_source_masks(circuit, 256, rng)
-    simulate_patterns_array(circuit, source, 256)
-    first = pattern_cache_stats()
-    assert first["misses"] == 1 and first["entries"] == 1
-    for _ in range(3):
-        simulate_patterns_array(circuit, source, 256)
-    stats = pattern_cache_stats()
-    assert stats["misses"] == 1
-    assert stats["hits"] >= 3
-    assert pattern_engine(circuit) is pattern_engine(circuit)
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy substrate only")
-def test_grouped_path_rejected_on_bigint_substrate():
-    circuit = _circuits()[0]
-    source = random_source_masks(circuit, 64, random.Random(1))
-    with pytest.raises(ValueError):
-        simulate_patterns_array(circuit, source, 64, use_numpy=False,
-                                grouped=True)
-
-
 # ----------------------------------------------------------------------
 # resident dropping: compaction, no resurrection, repack
 # ----------------------------------------------------------------------
@@ -164,6 +113,11 @@ def _drop_case(seed):
     return circuit, faults, sequences
 
 
+needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
+                                 reason="numpy array backend only")
+
+
+@needs_numpy
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("width", (None, 7))
 def test_resident_dropper_matches_subset_slicing(seed, width):
@@ -181,19 +135,14 @@ def test_resident_dropper_matches_subset_slicing(seed, width):
     assert resident.stats()["drop_hits"] == subset.stats()["drop_hits"]
 
 
-@pytest.mark.parametrize("use_numpy", (
-    pytest.param(True, marks=pytest.mark.skipif(
-        not HAVE_NUMPY, reason="numpy substrate only")),
-    False,
-))
-def test_dropped_fault_never_resurrects(use_numpy):
+@needs_numpy
+def test_dropped_fault_never_resurrects():
     """Column compaction: once a fault is dropped (by hit or discard)
     no later ``drop`` call may report it again -- even after repacking
     rebuilds every batch."""
     circuit, faults, sequences = _drop_case(1)
     live = list(range(len(faults)))
-    dropper = ArrayResidentDropper(circuit, faults, live, width=5,
-                                   use_numpy=use_numpy)
+    dropper = ArrayResidentDropper(circuit, faults, live, width=5)
     retired = set()
     # Interleave external discards with drops so both retirement paths
     # (and the halving-rule repack) run against the same corpus.
@@ -236,7 +185,7 @@ def test_make_resident_dropper_dispatch():
     live = list(range(len(faults)))
     assert isinstance(
         make_resident_dropper(circuit, faults, live, backend="array"),
-        ArrayResidentDropper)
+        ArrayResidentDropper if HAVE_NUMPY else SubsetResidentDropper)
     for backend in ("reference", "compiled"):
         dropper = make_resident_dropper(circuit, faults, live,
                                         backend=backend)

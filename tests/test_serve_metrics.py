@@ -187,7 +187,6 @@ def test_metrics_endpoint_json_and_prometheus():
         counters = payload["metrics"]["counters"]
         assert any(key.startswith("requests_total") for key in counters)
         assert {"caches", "admission"} <= set(payload)
-        assert "pattern_cache" in payload["caches"]
         assert payload["admission"]["active"] == 0
 
         for path, headers in (

@@ -93,22 +93,23 @@ def test_batched_single_node_identical(kind, seed):
                          + [("random", s) for s in range(6)]
                          + [("industrial", s) for s in range(6)])
 def test_array_plane_eval_identical(kind, seed):
-    """The array-backend plane evaluator (grouped word-matrix kernels)
-    produces the same SingleNodeData as the compiled kernels and the
-    reference path -- including at an odd batch width that splits the
-    injection pairs across many partial batches."""
+    """The compiled plane kernels, which ``backend='array'`` batches
+    over too, produce the same SingleNodeData as the reference path --
+    including at an odd batch width that splits the injection pairs
+    across many partial batches."""
     circuit = _build(kind, seed)
     passes = learning_passes(circuit) or [(("comb", 0, "none"), set())]
     for _key, active in passes:
         slow = run_single_node(
             FrameSimulator(circuit, active_ffs=active or None),
             max_frames=20, backend="reference")
-        for batch_width in (None, 7):
-            fast = run_single_node(
-                FrameSimulator(circuit, active_ffs=active or None),
-                max_frames=20, backend="array",
-                batch_width=batch_width)
-            _assert_same_data(fast, slow)
+        for backend in ("compiled", "array"):
+            for batch_width in (None, 7):
+                fast = run_single_node(
+                    FrameSimulator(circuit, active_ffs=active or None),
+                    max_frames=20, backend=backend,
+                    batch_width=batch_width)
+                _assert_same_data(fast, slow)
 
 
 def test_single_node_rejects_unknown_backend():
